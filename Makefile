@@ -3,8 +3,8 @@
 #   make ci          everything a PR must pass: build, vet, lint, tests,
 #                    race, one-iteration benchmark smoke
 #   make lint        go vet + tdnuca-lint, the repo's own static-analysis
-#                    suite (determinism / hot-path allocation / units /
-#                    shardsafe flight isolation; DESIGN.md §9, §14)
+#                    suite (determinism / hot-path allocation / units
+#                    passes plus directive checks; DESIGN.md §9)
 #   make lint-timing lint under a wall-clock budget: the analyzer must
 #                    stay fast enough to run on every PR
 #   make race        race detector over the concurrent harness and the
@@ -21,18 +21,13 @@
 #                    digests, cross-policy access-set equality) plus one
 #                    CLI run of a generated workload on the 4x4 and 8x8
 #                    meshes
-#   make pdes-smoke  conservative-PDES equivalence: worker counts
-#                    {1,2,4,8} x policies x meshes must digest
-#                    identically, the golden suite must reproduce at
-#                    SimWorkers=8, and one CLI suite runs at
-#                    -sim-workers 8
 #   make serve-smoke the experiment service end to end: the in-process
 #                    load-test battery submits a suite twice from
 #                    concurrent clients and asserts the second pass is
 #                    all cache hits with payload digests byte-identical
 #                    to direct harness runs, plus the raced drain /
-#                    cache / SIGTERM package tests (DESIGN.md §15)
-#   make chaos-smoke the chaos-hardened stack (DESIGN.md §16): raced
+#                    cache / SIGTERM package tests (DESIGN.md §13)
+#   make chaos-smoke the chaos-hardened stack (DESIGN.md §14): raced
 #                    cache-integrity, fault-injection and retrying-client
 #                    tests, then the tdnuca-load soak — 8 clients x 1000
 #                    jobs through seeded severity-2 chaos, asserting
@@ -46,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-timing bench bench-quick trace-smoke faults-smoke gen-smoke pdes-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet lint lint-timing bench bench-quick trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -55,29 +50,31 @@ test:
 	$(GO) test ./...
 
 # The parallel suite runner fans independent machines/runtimes out across
-# goroutines, and the conservative PDES engine runs task flights of one
-# run on a worker pool; the race detector over these packages is the
-# proof that no unsynchronized shared state sneaks back in (e.g. the old
-# package-level WatchBlock). The harness tests include the degraded
-# (fault-injected) parallel suite and the SimWorkers equivalence table,
-# so mid-run reconfiguration and in-run flights are raced too.
+# goroutines, each run owning its machine (coherence verifier included)
+# and running one sequential dispatch loop; the race detector over these
+# packages is the proof that no state shared between runs sneaks back in
+# (e.g. the old package-level WatchBlock). The harness tests include the
+# degraded (fault-injected) parallel suite and the parallel suite with
+# CheckInvariants on, so mid-run reconfiguration and the verifier are
+# raced too.
 race:
-	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/sim/pdes ./internal/serve ./internal/chaos ./internal/client
+	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/serve ./internal/chaos ./internal/client
 
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzer: determinism, hot-path allocation,
-# config/units and shardsafe flight-isolation invariants (DESIGN.md §9,
-# §14). Exits non-zero on findings; add -json for the machine-readable
-# report (schema in EXPERIMENTS.md).
+# The repo's own analyzer: determinism, hot-path allocation and
+# config/units invariants plus the directive checks (DESIGN.md §9).
+# Exits non-zero on findings; add -json for the machine-readable report
+# (schema in EXPERIMENTS.md).
 lint: vet
 	$(GO) run ./cmd/tdnuca-lint
 
 # The same analyzer under a generous wall-clock budget: the whole suite
-# (load + type-check + four passes over the module) must stay cheap
-# enough to run on every PR. 60s is ~30x the current cost on a loaded
-# CI worker; tripping it means a pass went superlinear.
+# (load + type-check + three passes and the directive checks over the
+# module) must stay cheap enough to run on every PR. 60s is ~30x the
+# current cost on a loaded CI worker; tripping it means a pass went
+# superlinear.
 lint-timing:
 	$(GO) run ./cmd/tdnuca-lint -budget 60s
 
@@ -116,16 +113,7 @@ gen-smoke:
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -check -factor 0.0078125
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
-# The conservative-PDES equivalence layer (DESIGN.md §13): worker-count
-# invariance across policies, meshes, tracing, fault injection and the
-# golden suite, then one CLI suite at -sim-workers 8 proving the flag
-# end to end.
-pdes-smoke:
-	$(GO) test ./internal/harness -run 'TestSimWorkers'
-	$(GO) test ./internal/taskrt -run 'TestParallel'
-	$(GO) run ./cmd/tdnuca-experiments -sim-workers 8 -digest -factor 0.0078125 > /dev/null
-
-# The experiment-service layer (DESIGN.md §15): raced package tests for
+# The experiment-service layer (DESIGN.md §13): raced package tests for
 # the cache / drain / SIGTERM paths, then the selftest battery — the
 # full Table II suite submitted twice by 4 concurrent clients each,
 # asserting coalescing (one simulation per unique job), a 100% cache-hit
@@ -135,7 +123,7 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate'
 	$(GO) run ./cmd/tdnuca-serve -selftest
 
-# The chaos-hardened stack (DESIGN.md §16): raced integrity / chaos /
+# The chaos-hardened stack (DESIGN.md §14): raced integrity / chaos /
 # client packages (the corruption, stream-resume and idempotent-
 # resubmission tests), then the full soak — 8 concurrent retrying
 # clients push 1000 jobs through a seeded severity-2 fault-injecting
@@ -158,4 +146,4 @@ fuzz-smoke:
 golden:
 	$(GO) test ./internal/harness -run 'Golden|TestGeneratedGoldenDigests' -update
 
-ci: build lint lint-timing test race bench-quick trace-smoke faults-smoke gen-smoke pdes-smoke serve-smoke chaos-smoke
+ci: build lint lint-timing test race bench-quick trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke

@@ -1,7 +1,8 @@
 package machine
 
-// Malformed directives are themselves findings: unknown directive name,
-// unknown rule, and a suppression without a reason.
+// Malformed directives are themselves findings: unknown directive names
+// (including the retired shardsafe annotation), unknown rule, and a
+// suppression without a reason.
 
 //tdnuca:frobnicate
 // want-above directive/syntax
@@ -10,4 +11,7 @@ package machine
 // want-above directive/syntax
 
 var placeholder = 0 //tdnuca:allow(alloc)
+// want-above directive/syntax
+
+//tdnuca:shardsafe
 // want-above directive/syntax

@@ -54,13 +54,8 @@ func (n *Network) ContentionEnabled() bool { return n.contention }
 // (zero when contention is disabled).
 func (n *Network) QueueingCycles() sim.Cycles { return n.queued }
 
-// serve is flight-reachable only in principle: parallelOK refuses runs
-// with the contention model armed, so during flights every Send takes the
-// contention-off path and serve never executes on a view. The suppression
-// below records that audit; arming contention for flights would need the
-// per-link busy/latest state folded per shard first.
-//
-//tdnuca:allow(shardsafe) contention is rejected by parallelOK, so serve never runs during flights; writes here are sequential-only
+// serve charges one message occupying the link for occ cycles from now
+// and returns its queueing delay under the link's running utilization.
 func (l *linkState) serve(now, occ sim.Cycles) (delay sim.Cycles) {
 	if l.latest > 0 && l.busy > 0 {
 		horizon := l.latest

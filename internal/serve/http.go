@@ -2,15 +2,22 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
+
+// maxSpecBytes bounds a job submission body. A real JobSpec is a few
+// hundred bytes of JSON; a body past this limit is refused with
+// 413/spec_too_large before it is decoded.
+const maxSpecBytes = 16 << 10
 
 // Handler returns the service's HTTP mux:
 //
 //	POST /v1/jobs             submit a JobSpec; 202 queued, 200 done
 //	                          (cache or coalesced hit), 400 invalid,
-//	                          429 queue full (Retry-After), 503 draining
+//	                          413 body over maxSpecBytes, 429 queue
+//	                          full (Retry-After), 503 draining
 //	GET  /v1/jobs/{id}        status view
 //	GET  /v1/jobs/{id}/result terminal payload (the cached bytes) or the
 //	                          structured error of a failed job
@@ -52,9 +59,13 @@ func writeAPIError(w http.ResponseWriter, e *APIError) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeAPIError(w, apiErrorf(http.StatusRequestEntityTooLarge, "spec_too_large", "body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		writeAPIError(w, apiErrorf(http.StatusBadRequest, "invalid_spec", "body: %v", err))
 		return
 	}

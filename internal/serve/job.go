@@ -58,11 +58,6 @@ type JobSpec struct {
 	// interval time series and the stream endpoint replays it.
 	Trace bool `json:"trace,omitempty"`
 
-	// SimWorkers sets the conservative-parallel simulation width. It is
-	// excluded from the content address: worker count provably never
-	// changes results (the PDES equivalence tests), so jobs differing
-	// only here coalesce.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Priority orders the queue (higher first, FIFO within a level). It
 	// is excluded from the content address: it affects when a job runs,
 	// never what it produces.
@@ -121,9 +116,6 @@ func (j *JobSpec) normalize() error {
 	case j.FragEvery < -1:
 		return fmt.Errorf("frag_every must be >= -1 (got %d)", j.FragEvery)
 	}
-	if j.SimWorkers < 0 {
-		return fmt.Errorf("sim_workers must be >= 0 (got %d)", j.SimWorkers)
-	}
 	if j.Faults != "" {
 		sc, err := faults.Parse(j.Faults)
 		if err != nil {
@@ -181,7 +173,7 @@ const addressSchema = "tdnuca-serve/v1"
 
 // Address is the canonical content address of the job: FNV-1a over the
 // normalized spec fields that determine the payload, in fixed order.
-// SimWorkers and Priority are deliberately absent (see their docs).
+// Priority is deliberately absent (see its doc).
 // Callers must normalize first; ID is the %016x rendering used in URLs.
 func (j JobSpec) Address() uint64 {
 	h := fnv64(fnvOffset64)
@@ -220,7 +212,6 @@ func (j JobSpec) config() (harness.Config, error) {
 	cfg.Factor = workloads.Factor(j.Factor)
 	cfg.Seed = j.Seed
 	cfg.FragEvery = j.FragEvery
-	cfg.RT.SimWorkers = j.SimWorkers
 	cfg.RT.MaxCycles = sim.Cycles(j.MaxCycles)
 	return cfg, nil
 }

@@ -222,7 +222,7 @@ func TestCacheHitReturnsByteIdenticalPayload(t *testing.T) {
 	}
 
 	// A different spelling of the same job coalesces to the same address.
-	alias := JobSpec{Bench: "Kmeans", Policy: "TD-NUCA", Factor: testFactor, Seed: 1, Mesh: "4x4", SimWorkers: 2, Priority: 9}
+	alias := JobSpec{Bench: "Kmeans", Policy: "TD-NUCA", Factor: testFactor, Seed: 1, Mesh: "4x4", Priority: 9}
 	_, third, apiErr := submit(t, ts, alias)
 	if apiErr != nil {
 		t.Fatal(apiErr)
@@ -339,6 +339,86 @@ func TestInvalidSpecRejected(t *testing.T) {
 		code, _, apiErr := submit(t, ts, spec)
 		if apiErr == nil || code != http.StatusBadRequest || apiErr.Kind != "invalid_spec" {
 			t.Errorf("%s: code=%d err=%v, want 400 invalid_spec", name, code, apiErr)
+		}
+	}
+}
+
+// postRaw submits a raw request body and decodes the structured error
+// of a non-2xx answer (nil on success).
+func postRaw(t *testing.T, ts *httptest.Server, body []byte) (int, *APIError) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode < 400 {
+		return resp.StatusCode, nil
+	}
+	var eb errorBody
+	if err := json.Unmarshal(b, &eb); err != nil || eb.Error == nil {
+		t.Fatalf("status %d: undecodable error body %s", resp.StatusCode, b)
+	}
+	return resp.StatusCode, eb.Error
+}
+
+// TestUnknownSpecFieldRejected: the decoder refuses fields JobSpec does
+// not declare, including the retired sim_workers knob.
+func TestUnknownSpecFieldRejected(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1})
+	body := []byte(`{"bench":"MD5","policy":"snuca","factor":0.0078125,"sim_workers":2}`)
+	code, apiErr := postRaw(t, ts, body)
+	if code != http.StatusBadRequest || apiErr == nil || apiErr.Kind != "invalid_spec" ||
+		!strings.Contains(apiErr.Message, "sim_workers") {
+		t.Errorf("code=%d err=%v, want 400 invalid_spec naming sim_workers", code, apiErr)
+	}
+}
+
+// TestOversizedSpecRejected: a body past maxSpecBytes is answered with
+// a structured 413 before decoding and leaves every counter untouched.
+func TestOversizedSpecRejected(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	before := s.Snapshot()
+	body := []byte(`{"bench":"` + strings.Repeat("x", 2*maxSpecBytes) + `","policy":"snuca"}`)
+	code, apiErr := postRaw(t, ts, body)
+	if code != http.StatusRequestEntityTooLarge || apiErr == nil || apiErr.Kind != "spec_too_large" {
+		t.Fatalf("code=%d err=%v, want 413 spec_too_large", code, apiErr)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var after Stats
+	if err := json.NewDecoder(resp.Body).Decode(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("/v1/stats moved on a rejected body:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestJobIDPinned pins the content address of fixed normalized specs to
+// literal values. Job ids name cached payloads on disk, so any change
+// to Address or normalize that moves them orphans every existing cache
+// entry; such a change must bump addressSchema deliberately.
+func TestJobIDPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec JobSpec
+		id   string
+	}{
+		{JobSpec{Bench: "LU", Policy: "tdnuca", Factor: testFactor}, "5685d87aaab80503"},
+		{JobSpec{Bench: "gen:seed=3,depth=4,width=8", Policy: "snuca", Factor: testFactor, Seed: 2, Mesh: "8x8",
+			FragEvery: -1, Faults: "bank=3@20000", MaxCycles: 1000000}, "b9e65e5f5c351a3f"},
+		{JobSpec{Bench: "Kmeans", Policy: "r-nuca", Factor: testFactor, Seed: 7, Trace: true, Priority: 3}, "c7929ab16ee226b6"},
+	} {
+		spec := c.spec
+		if err := spec.normalize(); err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		if got := spec.ID(); got != c.id {
+			t.Errorf("%+v: ID = %s, want %s", spec, got, c.id)
 		}
 	}
 }
