@@ -12,21 +12,23 @@
 #   make bench       measure the simulator-core benchmarks and write the
 #                    machine-readable BENCH_simcore.json
 #   make bench-quick one iteration of every benchmark (compile + smoke)
-#   make trace-smoke one traced run through the experiments CLI: writes
-#                    and validates the Chrome trace + interval series and
-#                    checks the cycle stack sums to cores x makespan
+#   make trace-smoke traced runs (LU and a generated workload) through
+#                    the experiments CLI: writes and validates the Chrome
+#                    trace + interval series and checks the cycle stack
+#                    sums to cores x makespan; plus one checked
+#                    single-policy -bench report
 #   make faults-smoke degraded (fault-injected) suite checked against its
 #                    golden digests, plus worker-count independence
 #   make gen-smoke   generated-workload differential suite (pinned golden
 #                    digests, cross-policy access-set equality) plus one
-#                    CLI run of a generated workload on the 4x4 and 8x8
-#                    meshes
-#   make serve-smoke the experiment service end to end: the in-process
-#                    load-test battery submits a suite twice from
-#                    concurrent clients and asserts the second pass is
-#                    all cache hits with payload digests byte-identical
-#                    to direct harness runs, plus the raced drain /
-#                    cache / SIGTERM package tests (DESIGN.md §13)
+#                    -bench comparison of a generated workload under all
+#                    five policies on the 4x4 and 8x8 meshes
+#   make serve-smoke the experiment service end to end: the raced drain /
+#                    cache / SIGTERM package tests, then a chaos-free
+#                    tdnuca-load run — coalescing, a 100% cache-hit
+#                    second pass with byte-identical payloads, digests
+#                    equal to direct harness runs, a leak-free drain
+#                    (DESIGN.md §13)
 #   make chaos-smoke the chaos-hardened stack (DESIGN.md §14): raced
 #                    cache-integrity, fault-injection and retrying-client
 #                    tests, then the tdnuca-load soak — 8 clients x 1000
@@ -93,10 +95,16 @@ bench-quick:
 
 # End-to-end proof of the observability layer: the CLI validates the
 # written Chrome JSON (parse + slice count) and the cycle-stack sum
-# itself, exiting non-zero on any mismatch (DESIGN.md §10).
+# itself, exiting non-zero on any mismatch (DESIGN.md §10). The
+# generated-name trace proves NAME[:POLICY] parsing keeps the "gen:"
+# colon; the -bench run prints one policy's full report and exits
+# non-zero on a coherence violation.
 trace-smoke:
 	$(GO) run ./cmd/tdnuca-experiments -trace LU -trace-out /tmp/tdnuca-trace-smoke.json \
 		-interval 5000 -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -trace gen:seed=3,depth=2,width=2 \
+		-trace-out /tmp/tdnuca-trace-smoke-gen.json -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -bench LU:tdnuca -check -factor 0.0078125
 
 # Digest-checked degraded run: the fault-injected suite must reproduce
 # its golden digests bit-for-bit, stay coherent (zero violations), and be
@@ -106,22 +114,23 @@ faults-smoke:
 
 # The generated-workload differential layer: pinned workgen seeds must
 # reproduce their golden digests with identical access sets across
-# policies and worker counts, then one CLI run exercises the 4x4 and the
+# policies and worker counts, then one CLI comparison (all five
+# policies, access digests checked equal) exercises the 4x4 and the
 # generalized 8x8 mesh end to end (DESIGN.md §12).
 gen-smoke:
 	$(GO) test ./internal/harness -run 'TestGenerated'
-	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -check -factor 0.0078125
-	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -bench gen:seed=3,depth=4,width=8 -check -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -bench gen:seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
 # The experiment-service layer (DESIGN.md §13): raced package tests for
-# the cache / drain / SIGTERM paths, then the selftest battery — the
-# full Table II suite submitted twice by 4 concurrent clients each,
-# asserting coalescing (one simulation per unique job), a 100% cache-hit
-# second pass with byte-identical payloads, digests equal to direct
-# harness.RunMany runs, and a leak-free drain.
+# the cache / drain / SIGTERM paths, then tdnuca-load with chaos off —
+# 200 jobs over the Table II suite (plus degraded and traced variants)
+# from 4 concurrent clients, asserting coalescing (one simulation per
+# unique job), a 100% cache-hit second pass with byte-identical
+# payloads, digests equal to direct harness runs, and a leak-free drain.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate'
-	$(GO) run ./cmd/tdnuca-serve -selftest
+	$(GO) run ./cmd/tdnuca-load -clients 4 -jobs 200 -severity 0 -factor 0.0078125
 
 # The chaos-hardened stack (DESIGN.md §14): raced integrity / chaos /
 # client packages (the corruption, stream-resume and idempotent-

@@ -18,15 +18,21 @@
 //	tdnuca-experiments -faults default     # degraded suite (seeded severity-3 faults)
 //	tdnuca-experiments -faults bank=3@20000,link=1-2@50000,rrt=8@80000
 //	tdnuca-experiments -fig resilience     # makespan/traffic vs fault severity
-//	tdnuca-experiments -gen seed=3,depth=8,width=16   # generated workload
-//	tdnuca-experiments -gen seed=3 -mesh 8x8          # ... on an 8x8 mesh
+//	tdnuca-experiments -fig table1         # Table I, the simulated machine
+//	tdnuca-experiments -bench LU:tdnuca    # one run, every metric it produced
+//	tdnuca-experiments -bench LU           # LU under all five policies
+//	tdnuca-experiments -bench gen:seed=3,depth=8,width=16 -mesh 8x8
 //
-// -gen runs one seeded generator workload (internal/workgen) under
-// S-NUCA, R-NUCA and TD-NUCA and prints a per-policy comparison; knobs
-// not named keep their defaults, and the canonical "gen:..." name it
-// prints is accepted anywhere a benchmark name is. -mesh swaps the 4x4
-// machine for a generalized WxH mesh (scaled per-tile caches) and
-// composes with every other mode.
+// -bench NAME[:POLICY] runs one benchmark: a Table II name or a seeded
+// generator workload ("gen:..." knobs, internal/workgen; knobs not named
+// keep their defaults). Under a policy it prints the run's full report
+// (cache, NoC, energy, TLB and policy-specific counters) and exits 1 on
+// a coherence violation. Without one it runs all five policies on the
+// worker pool and prints a comparison normalized to S-NUCA, checking
+// that every policy issued the same access stream (equal access
+// digests); with -digest the runs' behavioral digest follows. -mesh
+// swaps the 4x4 machine for a generalized WxH mesh (scaled per-tile
+// caches) and composes with every other mode.
 //
 // -faults runs every benchmark under S-NUCA, R-NUCA and TD-NUCA with the
 // given fault scenario injected (DESIGN.md §11) and prints the per-run
@@ -36,7 +42,7 @@
 // one. -fig resilience sweeps severities 0..3 and prints the makespan and
 // NoC-traffic inflation of each policy relative to its healthy run.
 //
-// -trace runs one benchmark (optionally under a named policy, default
+// -trace runs one benchmark (NAME[:POLICY] as for -bench, default policy
 // TD-NUCA) with the event tracer attached, writes a Perfetto-loadable
 // Chrome trace (-trace-out, default trace.json) plus <out>.intervals.csv
 // and <out>.intervals.json time series, validates the output, and prints
@@ -56,6 +62,7 @@ import (
 	"time"
 
 	"tdnuca"
+	"tdnuca/internal/harness"
 	"tdnuca/internal/profiling"
 )
 
@@ -89,15 +96,16 @@ func main() {
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 
-		traceSpec = flag.String("trace", "", "trace one run: benchmark or benchmark:policy (default policy TD-NUCA)")
+		traceSpec = flag.String("trace", "", "trace one run: NAME[:POLICY] as for -bench (default policy TD-NUCA)")
 		traceOut  = flag.String("trace-out", "trace.json", "Chrome trace output path for -trace")
 		interval  = flag.Uint64("interval", 0, "interval sample length in cycles for -trace (0 = default)")
 
 		faultSpec = flag.String("faults", "", "run the suite degraded: a fault scenario like bank=3@20000,link=1-2@50000,rrt=8@80000, or 'default' for the seeded severity-3 ladder")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for generated fault scenarios (-faults default, -fig resilience)")
 
-		genSpec = flag.String("gen", "", "run a generated workload under the core policies: knobs like seed=3,depth=8,width=16,fanout=4 (unset knobs keep defaults; schema in EXPERIMENTS.md)")
-		mesh    = flag.String("mesh", "", "override the mesh topology, e.g. 8x8 or 16x16 (scaled per-tile caches, corner memory controllers)")
+		benchSpec = flag.String("bench", "", "run one benchmark as NAME[:POLICY]; NAME is "+strings.Join(tdnuca.Benchmarks(), ", ")+
+			" or a generated workload like gen:seed=3,depth=8,width=16 (schema in EXPERIMENTS.md); without POLICY, compare all five policies")
+		mesh = flag.String("mesh", "", "override the mesh topology, e.g. 8x8 or 16x16 (scaled per-tile caches, corner memory controllers)")
 	)
 	flag.Parse()
 
@@ -124,8 +132,8 @@ func main() {
 		fail(cfg.Arch.Validate())
 	}
 
-	if *genSpec != "" {
-		runGenerated(cfg, *genSpec, *workers, *digest)
+	if *benchSpec != "" {
+		runBench(cfg, *benchSpec, *workers, *digest)
 		if !*all && *fig == "" && *traceSpec == "" && *faultSpec == "" {
 			return
 		}
@@ -243,52 +251,137 @@ func parseMesh(s string) (int, int, error) {
 	return w, h, nil
 }
 
-// runGenerated executes one generator workload under the core policies
-// on the worker pool and prints the per-policy comparison (plus the
-// run digests with -digest). The access digest must agree across
-// policies — verified here too, not only in the test suite.
-func runGenerated(cfg tdnuca.ExperimentConfig, spec string, workers int, digest bool) {
-	name := spec
-	if !tdnuca.IsGeneratedName(name) {
-		name = "gen:" + name
+// splitBenchPolicy splits a NAME[:POLICY] argument at its last ':',
+// where the suffix must be a policy; the ':' of a generated name's
+// "gen:" prefix is not a separator. kind is "" when no policy is given.
+func splitBenchPolicy(spec string) (bench string, kind tdnuca.PolicyKind, err error) {
+	i := strings.LastIndexByte(spec, ':')
+	if i < 0 || (tdnuca.IsGeneratedName(spec) && !tdnuca.IsGeneratedName(spec[:i])) {
+		return spec, "", nil
 	}
-	p, err := tdnuca.ParseWorkloadName(name)
+	kind, ok := harness.ParsePolicy(spec[i+1:])
+	if !ok {
+		return "", "", fmt.Errorf("unknown policy %q in %q", spec[i+1:], spec)
+	}
+	return spec[:i], kind, nil
+}
+
+// allPolicies is the -bench comparison's row order; S-NUCA first, as
+// the speedup baseline.
+var allPolicies = []tdnuca.PolicyKind{
+	tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA, tdnuca.TDBypassOnly, tdnuca.TDNoISA,
+}
+
+// runBench runs one benchmark under the named policy and prints the
+// full report, or, without a policy, compares all five.
+func runBench(cfg tdnuca.ExperimentConfig, spec string, workers int, digest bool) {
+	bench, kind, err := splitBenchPolicy(spec)
 	fail(err)
-	name = p.String()
-	kinds := []tdnuca.PolicyKind{tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA}
-	jobs := make([]tdnuca.ExperimentJob, 0, len(kinds))
-	for _, k := range kinds {
-		jobs = append(jobs, tdnuca.ExperimentJob{Bench: name, Kind: k, Cfg: cfg})
+	if tdnuca.IsGeneratedName(bench) {
+		p, err := tdnuca.ParseWorkloadName(bench)
+		fail(err)
+		bench = p.String()
 	}
-	fmt.Fprintf(os.Stderr, "generated workload %s on a %dx%d mesh...\n",
-		name, cfg.Arch.MeshWidth, cfg.Arch.MeshHeight)
+	if kind == "" {
+		comparePolicies(cfg, bench, workers, digest)
+		return
+	}
+
+	r, err := tdnuca.RunBenchmark(bench, kind, cfg)
+	fail(err)
+	m := r.Metrics
+	fmt.Printf("%s under %s\n", r.Benchmark, r.Policy)
+	fmt.Printf("  tasks               %d (avg %.0f KB of dependencies)\n", r.Tasks, r.AvgTaskKB)
+	fmt.Printf("  makespan            %d cycles\n", r.Cycles)
+	fmt.Printf("  accesses            %d (L1 hit %.1f%%)\n", m.Accesses,
+		100*float64(m.L1Hits)/float64(m.L1Hits+m.L1Misses))
+	fmt.Printf("  LLC                 %d accesses, hit ratio %.1f%%\n", m.LLCAccesses, 100*m.LLCHitRatio())
+	fmt.Printf("  bypassed accesses   %d\n", m.BypassAccesses)
+	fmt.Printf("  DRAM                %d reads, %d writes\n", m.DRAMReads, m.DRAMWrites)
+	fmt.Printf("  NUCA distance       %.2f hops\n", m.NUCADistance())
+	fmt.Printf("  NoC data movement   %d byte-hops over %d messages\n", r.DataMovement, r.NoCMessages)
+	fmt.Printf("  energy              LLC %.1f uJ, NoC %.1f uJ, DRAM %.1f uJ, RRT %.1f uJ\n",
+		r.Energy.LLC/1e3, r.Energy.NoC/1e3, r.Energy.DRAM/1e3, r.Energy.RRT/1e3)
+	fmt.Printf("  TLB                 %d hits, %d misses\n", r.TLBHits, r.TLBMisses)
+	fmt.Printf("  runtime overhead    creation %d cycles, hooks %d cycles\n", r.CreationCost, r.HookCost)
+	if kind == tdnuca.TDNUCA || kind == tdnuca.TDBypassOnly {
+		s := r.ManagerStats
+		fmt.Printf("  TD-NUCA decisions   %d (bypass %d, local %d, cluster %d, reuse %d, untracked %d)\n",
+			s.Decisions, s.Bypasses, s.LocalMappings, s.ClusterMappings, s.Reuses, s.Untracked)
+		fmt.Printf("  TD-NUCA ISA         %d registers, %d invalidates, %d flushes (%d transition)\n",
+			s.Registers, s.Invalidates, s.Flushes, s.TransitionFlushes)
+		fmt.Printf("  RRT occupancy       avg %.2f, max %d entries (%d register failures)\n",
+			r.RRTAvgOcc, r.RRTMaxOcc, r.RegisterFailures)
+		c := r.TDClassification
+		fmt.Printf("  classification      Out %d, In %d, Both %d, NotReused %d blocks\n",
+			c.Out, c.In, c.Both, c.NotReused)
+	}
+	if kind == tdnuca.RNUCA {
+		fmt.Printf("  R-NUCA classes      private %d, shared-RO %d, shared %d blocks\n",
+			r.RNUCAPrivate, r.RNUCASharedRO, r.RNUCAShared)
+	}
+	for _, v := range r.Violations {
+		fmt.Printf("  COHERENCE VIOLATION %s\n", v)
+	}
+	if len(r.Violations) > 0 {
+		exit(1)
+	}
+}
+
+// comparePolicies runs one benchmark under every policy on the worker
+// pool and prints the head-to-head table, normalized to S-NUCA (plus
+// the run digests with -digest). The access digest must agree across
+// policies: placement never changes what the program touches.
+func comparePolicies(cfg tdnuca.ExperimentConfig, bench string, workers int, digest bool) {
+	jobs := make([]tdnuca.ExperimentJob, len(allPolicies))
+	for i, k := range allPolicies {
+		jobs[i] = tdnuca.ExperimentJob{Bench: bench, Kind: k, Cfg: cfg}
+	}
+	fmt.Fprintf(os.Stderr, "%s under %d policies on a %dx%d mesh...\n",
+		bench, len(jobs), cfg.Arch.MeshWidth, cfg.Arch.MeshHeight)
 	results, err := tdnuca.RunExperiments(jobs, workers)
 	fail(err)
 
-	fmt.Printf("Generated workload %s\n", name)
-	fmt.Printf("%-22s %14s %10s %12s %16s %16s\n",
-		"policy", "cycles", "tasks", "dram-xfers", "access-digest", "digest")
+	base := results[0]
+	tbl := tdnuca.Table{
+		Title: fmt.Sprintf("%s: policy comparison (factor %g, seed %d)",
+			bench, float64(cfg.Factor), cfg.Seed),
+		Header: []string{"Policy", "Cycles", "Speedup", "LLC hit", "NUCA dist", "Byte-hops",
+			"Tasks", "DRAM xfers", "Access digest", "Digest"},
+	}
+	violations := 0
 	for i, r := range results {
-		fmt.Printf("%-22s %14d %10d %12d %016x %016x\n",
-			string(kinds[i]), uint64(r.Cycles), r.Tasks,
-			r.Metrics.DRAMReads+r.Metrics.DRAMWrites, r.AccessDigest, r.Digest())
+		tbl.AddRow(string(allPolicies[i]),
+			fmt.Sprintf("%d", r.Cycles),
+			fmt.Sprintf("%.2fx", r.Speedup(base)),
+			fmt.Sprintf("%.1f%%", 100*r.Metrics.LLCHitRatio()),
+			fmt.Sprintf("%.2f", r.Metrics.NUCADistance()),
+			fmt.Sprintf("%d", r.DataMovement),
+			fmt.Sprintf("%d", r.Tasks),
+			fmt.Sprintf("%d", r.Metrics.DRAMReads+r.Metrics.DRAMWrites),
+			fmt.Sprintf("%016x", r.AccessDigest),
+			fmt.Sprintf("%016x", r.Digest()))
 		for _, v := range r.Violations {
-			fmt.Fprintf(os.Stderr, "COHERENCE VIOLATION %s/%s: %s\n", name, kinds[i], v)
+			fmt.Fprintf(os.Stderr, "COHERENCE VIOLATION %s/%s: %s\n", bench, allPolicies[i], v)
+			violations++
 		}
 	}
+	fmt.Println(tbl)
 	for _, r := range results[1:] {
-		if r.AccessDigest != results[0].AccessDigest {
+		if r.AccessDigest != base.AccessDigest {
 			fail(fmt.Errorf("access digest diverged across policies: %016x vs %016x",
-				r.AccessDigest, results[0].AccessDigest))
+				r.AccessDigest, base.AccessDigest))
 		}
 	}
 	if digest {
-		s := make(tdnuca.Suite)
-		s[name] = map[tdnuca.PolicyKind]tdnuca.Result{}
+		s := tdnuca.Suite{bench: map[tdnuca.PolicyKind]tdnuca.Result{}}
 		for i, r := range results {
-			s[name][kinds[i]] = r
+			s[bench][allPolicies[i]] = r
 		}
 		fmt.Print(tdnuca.DigestSuite(s).String())
+	}
+	if violations > 0 {
+		exit(1)
 	}
 }
 

@@ -11,7 +11,8 @@
 //     resubmitted POSTs the chaos provoked.
 //  3. Byte fidelity: every payload a client receives is byte-identical
 //     per content address, and its digest equals a direct in-process
-//     harness run of the same job.
+//     harness run of the same job. A second pass over the spec pool is
+//     all cache hits returning the same bytes, with no new simulation.
 //  4. Integrity: after a corruption drill (bit-flipping on-disk cache
 //     payloads and restarting the server over the same directory), the
 //     corrupted entries are quarantined and re-simulated — a corrupt
@@ -139,14 +140,6 @@ func specPool(factor float64) []serve.JobSpec {
 		serve.JobSpec{Bench: "Jacobi", Policy: "snuca", Factor: factor, Trace: true},
 	)
 	return pool
-}
-
-// poolKind maps the pool's policy aliases to harness kinds.
-func poolKind(policy string) harness.PolicyKind {
-	if policy == "tdnuca" {
-		return harness.TDNUCA
-	}
-	return harness.SNUCA
 }
 
 // payloadRecord is one client's observation of one job's result bytes.
@@ -285,7 +278,6 @@ func runLoad(opts options) (*Report, error) {
 
 	// Invariant 2: exactly one simulation per unique content address.
 	snap := s.Snapshot()
-	rep.Server = snap
 	if got, want := snap.Completed, uint64(len(canonical)); got != want {
 		violate("server ran %d simulations for %d unique addresses; exactly-once broken", got, want)
 	}
@@ -294,6 +286,29 @@ func runLoad(opts options) (*Report, error) {
 	}
 	if opts.Severity > 0 && rep.Chaos.Injected() == 0 {
 		violate("chaos severity %d injected zero faults; the soak proved nothing", opts.Severity)
+	}
+
+	// Invariant 3 (cache): a second pass over the pool, from one
+	// chaos-free client, is answered entirely from the cache with the
+	// phase-1 bytes and runs no simulation.
+	second := client.New(client.Config{BaseURL: ts.URL, Seed: opts.Seed ^ 0x5ec0})
+	for _, spec := range pool {
+		res, err := second.Run(context.Background(), spec)
+		if err != nil {
+			violate("second pass %s/%s: %v", spec.Bench, spec.Policy, err)
+			continue
+		}
+		if res.View.Status != serve.StatusDone || !res.View.CacheHit {
+			violate("second pass %s/%s: status %s, cache_hit %v; want a done cache hit",
+				spec.Bench, spec.Policy, res.View.Status, res.View.CacheHit)
+		}
+		if !bytes.Equal(res.Payload, canonical[res.ID]) {
+			violate("second pass job %s: payload differs from phase 1", res.ID)
+		}
+	}
+	rep.Server = s.Snapshot()
+	if rep.Server.Completed != snap.Completed {
+		violate("second pass ran %d extra simulations; cache broken", rep.Server.Completed-snap.Completed)
 	}
 
 	// Invariant 3 (second half): digest fidelity against direct runs.
@@ -349,7 +364,10 @@ func runLoad(opts options) (*Report, error) {
 func directDigest(spec serve.JobSpec, opts options) (string, error) {
 	cfg := harness.DefaultConfig()
 	cfg.Factor = workloads.Factor(opts.Factor)
-	kind := poolKind(spec.Policy)
+	kind, ok := harness.ParsePolicy(spec.Policy)
+	if !ok {
+		return "", fmt.Errorf("unknown policy %q", spec.Policy)
+	}
 	switch {
 	case spec.Faults != "":
 		sc, err := faults.Parse(spec.Faults)

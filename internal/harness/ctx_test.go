@@ -14,7 +14,7 @@ import (
 
 // TestJobValidateErrorFormat pins the exact error format every validate
 // branch must carry: "harness: <bench> under <kind>: <cause>". The
-// resolveSpec branch regressed once (it returned the bare cause), so the
+// benchmark-name branch regressed once (it returned the bare cause), so the
 // full message is asserted, not just a substring.
 func TestJobValidateErrorFormat(t *testing.T) {
 	cfg := fastCfg()
@@ -36,6 +36,21 @@ func TestJobValidateErrorFormat(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "harness: MD5 under ") {
 		t.Errorf("error %q lacks the \"harness: <bench> under <kind>\" prefix", err)
+	}
+}
+
+// TestJobValidateAllocs pins the cost of admission: Validate checks the
+// benchmark name without building the workload, so the service's
+// per-submission check (cache hits included) stays cheap.
+func TestJobValidateAllocs(t *testing.T) {
+	for _, bench := range []string{"LU", "gen:seed=3,depth=2,width=2"} {
+		j := Job{Bench: bench, Kind: TDNUCA, Cfg: fastCfg()}
+		if err := j.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = j.Validate() }); n > 8 {
+			t.Errorf("Validate(%s): %.0f allocs per call, want <= 8", bench, n)
+		}
 	}
 }
 

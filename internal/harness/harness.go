@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"tdnuca/internal/arch"
 	"tdnuca/internal/core"
@@ -35,6 +36,26 @@ const (
 	TDBypassOnly PolicyKind = "TD-NUCA (Bypass Only)"
 	TDNoISA      PolicyKind = "TD-NUCA (runtime only)"
 )
+
+// ParsePolicy resolves a policy spelling, case-insensitively: the
+// display name ("TD-NUCA (Bypass Only)") or a short alias (td, tdnuca,
+// td-bypass, tdnuca-bypass, ...). The experiments CLI, the service and
+// the load harness all parse policies through here.
+func ParsePolicy(name string) (PolicyKind, bool) {
+	switch strings.ToLower(name) {
+	case "s", "snuca", "s-nuca":
+		return SNUCA, true
+	case "r", "rnuca", "r-nuca":
+		return RNUCA, true
+	case "td", "tdnuca", "td-nuca":
+		return TDNUCA, true
+	case "bypass", "td-bypass", "tdnuca-bypass", "td-nuca (bypass only)":
+		return TDBypassOnly, true
+	case "noisa", "td-noisa", "tdnuca-noisa", "td-nuca (runtime only)":
+		return TDNoISA, true
+	}
+	return "", false
+}
 
 // Config parametrizes a run.
 type Config struct {
@@ -185,14 +206,32 @@ func resolveSpec(bench string, f workloads.Factor) (workloads.Spec, error) {
 	if spec, ok := workloads.Get(bench, f); ok {
 		return spec, nil
 	}
-	if workgen.IsName(bench) {
-		p, err := workgen.Parse(bench)
-		if err != nil {
-			return workloads.Spec{}, err
-		}
-		return workgen.New(p, f)
+	p, err := parseGenerated(bench)
+	if err != nil {
+		return workloads.Spec{}, err
 	}
-	return workloads.Spec{}, fmt.Errorf("harness: unknown benchmark %q", bench)
+	return workgen.New(p, f)
+}
+
+// checkBench accepts exactly the names resolveSpec resolves, with the
+// same errors, without building the workload: workgen.New fails only
+// through Params.Validate.
+func checkBench(bench string) error {
+	if workloads.Has(bench) {
+		return nil
+	}
+	p, err := parseGenerated(bench)
+	if err != nil {
+		return err
+	}
+	return p.Validate()
+}
+
+func parseGenerated(bench string) (workgen.Params, error) {
+	if !workgen.IsName(bench) {
+		return workgen.Params{}, fmt.Errorf("harness: unknown benchmark %q", bench)
+	}
+	return workgen.Parse(bench)
 }
 
 func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *trace.Tracer, sc *faults.Scenario) (Result, *trace.Data, faults.Stats, error) {
@@ -400,15 +439,6 @@ func buildChecked(spec workloads.Spec, rt *taskrt.Runtime) (err error) {
 	}()
 	spec.Build(rt)
 	return nil
-}
-
-// MustRun is Run but panics on error, for the CLIs and benchmarks.
-func MustRun(bench string, kind PolicyKind, cfg Config) Result {
-	r, err := Run(bench, kind, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Suite holds the results of every benchmark under a set of policies,

@@ -18,6 +18,31 @@ func fastCfg() Config {
 	return cfg
 }
 
+func TestParsePolicy(t *testing.T) {
+	for _, k := range []PolicyKind{SNUCA, RNUCA, TDNUCA, TDBypassOnly, TDNoISA} {
+		for _, name := range []string{string(k), strings.ToUpper(string(k)), strings.ToLower(string(k))} {
+			if got, ok := ParsePolicy(name); !ok || got != k {
+				t.Errorf("ParsePolicy(%q) = %q, %v; want %q", name, got, ok, k)
+			}
+		}
+	}
+	for name, want := range map[string]PolicyKind{
+		"s": SNUCA, "SNUCA": SNUCA, "r": RNUCA, "rnuca": RNUCA,
+		"td": TDNUCA, "TDNUCA": TDNUCA, "bypass": TDBypassOnly,
+		"td-bypass": TDBypassOnly, "tdnuca-bypass": TDBypassOnly,
+		"noisa": TDNoISA, "td-noisa": TDNoISA, "TDNUCA-NOISA": TDNoISA,
+	} {
+		if got, ok := ParsePolicy(name); !ok || got != want {
+			t.Errorf("ParsePolicy(%q) = %q, %v; want %q", name, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "all", "bogus", "td nuca"} {
+		if got, ok := ParsePolicy(bad); ok {
+			t.Errorf("ParsePolicy(%q) = %q, want rejection", bad, got)
+		}
+	}
+}
+
 func TestRunUnknownBenchmarkOrPolicy(t *testing.T) {
 	if _, err := Run("nope", SNUCA, fastCfg()); err == nil {
 		t.Error("unknown benchmark accepted")

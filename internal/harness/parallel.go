@@ -38,7 +38,7 @@ func (j Job) Validate() error { return j.validate() }
 // batch is identifiable from the error alone (pinned by
 // TestJobValidateErrorFormat).
 func (j Job) validate() error {
-	if _, err := resolveSpec(j.Bench, j.Cfg.Factor); err != nil {
+	if err := checkBench(j.Bench); err != nil {
 		return fmt.Errorf("harness: %s under %s: %w", j.Bench, j.Kind, err)
 	}
 	switch j.Kind {

@@ -34,9 +34,9 @@ type JobSpec struct {
 	// Bench is a Table II benchmark name or a "gen:" generated-workload
 	// spec (internal/workgen syntax).
 	Bench string `json:"bench"`
-	// Policy is a PolicyKind name ("S-NUCA", "R-NUCA", "TD-NUCA",
-	// "TD-NUCA (Bypass Only)", "TD-NUCA (runtime only)") or one of the
-	// short aliases snuca, rnuca, tdnuca, bypass, noisa.
+	// Policy is any spelling harness.ParsePolicy accepts: a PolicyKind
+	// name ("S-NUCA", "TD-NUCA (Bypass Only)", ...) or a short alias
+	// (snuca, rnuca, tdnuca, bypass, noisa, ...), case-insensitively.
 	Policy string `json:"policy"`
 	// Mesh is "WxH" ("4x4" default). Non-default meshes use the scaled
 	// cache hierarchy (arch.ScaledMeshConfig), like the sweep CLIs.
@@ -64,23 +64,6 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// policyAliases maps accepted policy spellings to canonical kinds.
-func policyKind(name string) (harness.PolicyKind, bool) {
-	switch name {
-	case string(harness.SNUCA), "snuca", "s-nuca":
-		return harness.SNUCA, true
-	case string(harness.RNUCA), "rnuca", "r-nuca":
-		return harness.RNUCA, true
-	case string(harness.TDNUCA), "tdnuca", "td-nuca":
-		return harness.TDNUCA, true
-	case string(harness.TDBypassOnly), "bypass", "td-bypass":
-		return harness.TDBypassOnly, true
-	case string(harness.TDNoISA), "noisa", "td-noisa":
-		return harness.TDNoISA, true
-	}
-	return "", false
-}
-
 // normalize fills defaults in place and canonicalizes spellings, so the
 // content address is independent of how the client spelled the job.
 // It returns the first validation problem as a client error.
@@ -88,7 +71,7 @@ func (j *JobSpec) normalize() error {
 	if j.Bench == "" {
 		return fmt.Errorf("bench is required")
 	}
-	kind, ok := policyKind(j.Policy)
+	kind, ok := harness.ParsePolicy(j.Policy)
 	if !ok {
 		return fmt.Errorf("unknown policy %q", j.Policy)
 	}
@@ -216,11 +199,8 @@ func (j JobSpec) config() (harness.Config, error) {
 	return cfg, nil
 }
 
-// kind returns the canonical policy; normalize has already vetted it.
-func (j JobSpec) kind() harness.PolicyKind {
-	k, _ := policyKind(j.Policy)
-	return k
-}
+// kind returns the policy; normalize has already canonicalized it.
+func (j JobSpec) kind() harness.PolicyKind { return harness.PolicyKind(j.Policy) }
 
 // scenario parses the (already canonicalized) fault schedule, or nil.
 func (j JobSpec) scenario() (*faults.Scenario, error) {

@@ -194,12 +194,13 @@ func TestGetAndNames(t *testing.T) {
 		t.Fatalf("Names() = %v", Names())
 	}
 	for _, n := range Names() {
-		if _, ok := Get(n, tiny); !ok {
-			t.Errorf("Get(%q) failed", n)
+		spec, ok := Get(n, tiny)
+		if !ok || spec.Name != n || !Has(n) {
+			t.Errorf("Get(%q) = %q, %v; Has = %v", n, spec.Name, ok, Has(n))
 		}
 	}
-	if _, ok := Get("nope", tiny); ok {
-		t.Error("Get of unknown benchmark succeeded")
+	if _, ok := Get("nope", tiny); ok || Has("nope") {
+		t.Error("unknown benchmark resolved")
 	}
 }
 
